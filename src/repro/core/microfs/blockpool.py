@@ -5,20 +5,34 @@ allocation. The use of hugeblocks significantly lowers the amount of
 information that must be kept to track file blocks."
 
 The pool covers the data region of a rank's partition, divided into
-fixed-size blocks. Allocation pops from the head of a circular free
-ring; free pushes at the tail — both O(1). ``footprint_bytes`` reports
-the pool's DRAM cost (one 4-byte index per block), which is the 8x
-reduction the paper credits to 32 KiB blocks vs 4 KiB.
+fixed-size blocks. The free ring is a FIFO of ``(start, length)`` runs,
+initially one run over the whole region. Allocation takes blocks from
+the head run (splitting it, or popping it when used up); free appends
+runs at the tail, merging into the tail run when contiguous with it.
+Expanded block by block, that is exactly a ring of single block indices
+— the same blocks come out in the same order — but the cost follows the
+number of runs, not the number of blocks.
+
+A byte-per-block used-map, written and searched only by C-level slice
+operations, rejects double and foreign frees. ``footprint_bytes`` is the
+paper's DRAM *model* (one 4-byte index per block), which is the 8x
+reduction the paper credits to 32 KiB blocks vs 4 KiB; the simulator
+reports it rather than paying it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Set
+from typing import Deque, List, Tuple
 
 from repro.errors import InvalidArgument, NoSpace
 
-__all__ = ["BlockPool"]
+__all__ = ["BlockPool", "Extent"]
+
+#: A run of blocks: ``(first block index, number of blocks)``.
+Extent = Tuple[int, int]
+
+_USED = b"\x01"
 
 
 class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op order)
@@ -33,53 +47,74 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
             )
         self.block_bytes = block_bytes
         self.capacity_blocks = region_bytes // block_bytes
-        self._free: Deque[int] = deque(range(self.capacity_blocks))
-        self._allocated: Set[int] = set()
+        self._free: Deque[Extent] = deque([(0, self.capacity_blocks)])
+        self._free_count = self.capacity_blocks
+        self._used = bytearray(self.capacity_blocks)  # 1 = allocated
 
     # -- allocation ---------------------------------------------------------------
 
-    def alloc(self) -> int:
-        """Pop one free block index; O(1)."""
-        if not self._free:
-            raise NoSpace(
-                f"block pool exhausted ({self.capacity_blocks} blocks of "
-                f"{self.block_bytes} bytes)"
-            )
-        block = self._free.popleft()
-        self._allocated.add(block)
-        return block
+    def alloc_many(self, count: int) -> List[Extent]:
+        """Take the next ``count`` blocks off the ring as extents; all-or-nothing.
 
-    def alloc_many(self, count: int) -> List[int]:
-        """Pop ``count`` blocks; all-or-nothing."""
+        Consecutive ring runs are never contiguous (``free_many`` merges
+        those), so the returned extents are maximal.
+        """
         if count < 0:
             raise InvalidArgument(f"negative block count: {count}")
-        if count > len(self._free):
+        if count > self._free_count:
             raise NoSpace(
-                f"need {count} blocks, only {len(self._free)} free of "
+                f"need {count} blocks, only {self._free_count} free of "
                 f"{self.capacity_blocks}"
             )
-        return [self.alloc() for _ in range(count)]
+        extents: List[Extent] = []
+        need = count
+        while need:
+            start, length = self._free[0]
+            if length <= need:
+                self._free.popleft()
+            else:
+                self._free[0] = (start + need, length - need)
+                length = need
+            self._used[start:start + length] = _USED * length
+            extents.append((start, length))
+            need -= length
+        self._free_count -= count
+        return extents
 
-    def free(self, block: int) -> None:
-        """Return a block to the tail of the ring; O(1)."""
-        if block not in self._allocated:
-            raise InvalidArgument(f"double free or foreign block {block}")
-        self._allocated.remove(block)
-        self._free.append(block)
+    def free_many(self, extents: List[Extent]) -> None:
+        """Return extents to the tail of the ring, in order; all-or-nothing.
 
-    def free_many(self, blocks: List[int]) -> None:
-        for block in blocks:
-            self.free(block)
+        Every extent must lie inside the pool, be wholly allocated, and
+        not overlap another extent of the same call; otherwise nothing
+        is freed.
+        """
+        prev_end = 0
+        for start, length in sorted(extents):
+            if length <= 0 or start < prev_end or start + length > self.capacity_blocks:
+                raise InvalidArgument(f"bad or overlapping extent ({start}, {length})")
+            if self._used.find(0, start, start + length) != -1:
+                raise InvalidArgument(
+                    f"double free or foreign blocks in extent ({start}, {length})"
+                )
+            prev_end = start + length
+        free = self._free
+        for start, length in extents:
+            self._used[start:start + length] = bytes(length)
+            if free and free[-1][0] + free[-1][1] == start:
+                free[-1] = (free[-1][0], free[-1][1] + length)
+            else:
+                free.append((start, length))
+            self._free_count += length
 
     # -- accounting ----------------------------------------------------------------
 
     @property
     def free_blocks(self) -> int:
-        return len(self._free)
+        return self._free_count
 
     @property
     def used_blocks(self) -> int:
-        return len(self._allocated)
+        return self.capacity_blocks - self._free_count
 
     def offset_of(self, block: int) -> int:
         """Byte offset of a block within the data region."""
@@ -88,17 +123,17 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
         return block * self.block_bytes
 
     def footprint_bytes(self) -> int:
-        """DRAM cost of tracking the pool: 4 bytes per block index."""
+        """Modelled DRAM cost of tracking the pool: 4 bytes per block index."""
         return 4 * self.capacity_blocks
 
     # -- persistence (for internal-state checkpoints) --------------------------------
 
     def snapshot(self) -> dict:
+        """The free ring as runs; every block outside it is allocated."""
         return {
             "block_bytes": self.block_bytes,
             "capacity_blocks": self.capacity_blocks,
             "free": list(self._free),
-            "allocated": sorted(self._allocated),
         }
 
     @classmethod
@@ -107,5 +142,8 @@ class BlockPool:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op 
         pool.block_bytes = snap["block_bytes"]
         pool.capacity_blocks = snap["capacity_blocks"]
         pool._free = deque(snap["free"])
-        pool._allocated = set(snap["allocated"])
+        pool._free_count = sum(length for _start, length in pool._free)
+        pool._used = bytearray(_USED) * pool.capacity_blocks
+        for start, length in pool._free:
+            pool._used[start:start + length] = bytes(length)
         return pool

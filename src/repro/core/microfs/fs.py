@@ -263,10 +263,9 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         what bounds create throughput by hardware, not software.
         """
         block = self.config.effective_block_bytes
-        needed_blocks = max(1, -(-directory.dir_file_bytes() // block))
-        while len(directory.blocks) < needed_blocks:
-            directory.blocks.append(self.pool.alloc())
-        tail = directory.blocks[-1]
+        self._grow_dir_blocks(directory)
+        start, length = directory.extents[-1]
+        tail = start + length - 1
         payload = Payload.synthetic(
             f"{self.instance_name}:dirfile:{directory.ino}:{len(directory.entries)}",
             block,
@@ -276,6 +275,15 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
             [(self._data_offset + self.pool.offset_of(tail), payload)],
             qos=QoSClass.JOURNAL,
         )
+
+    def _grow_dir_blocks(self, directory: Inode) -> None:
+        """Allocate blocks until the directory file fits (at least one).
+        Recovery replay calls this too, so the pool re-allocates the
+        same blocks in the same order."""
+        block = self.config.effective_block_bytes
+        needed = max(1, -(-directory.dir_file_bytes() // block)) - directory.nblocks
+        if needed > 0:
+            directory.append_extents(self.pool.alloc_many(needed))
 
     # ------------------------------------------------------------------------
     # POSIX operations (simulation generators)
@@ -356,8 +364,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
     def _truncate(self, inode: Inode, size: int = 0) -> Generator[Event, Any, None]:
         yield from self._journal(LogOp.TRUNCATE, ino=inode.ino, a=size)
         keep = -(-size // self.config.effective_block_bytes)
-        self.pool.free_many(inode.blocks[keep:])
-        inode.blocks = inode.blocks[:keep]
+        self.pool.free_many(inode.truncate_extents(keep))
         inode.size = min(inode.size, size)
         inode.mtime = self.env.now
 
@@ -463,10 +470,10 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
             return 0
         block = self.config.effective_block_bytes
         end = offset + nbytes
-        needed = -(-end // block) - len(inode.blocks)
+        needed = -(-end // block) - inode.nblocks
         if needed > 0:
             yield self.env.timeout(needed * cal.BLOCK_ALLOC_COST)
-            inode.blocks.extend(self.pool.alloc_many(needed))
+            inode.append_extents(self.pool.alloc_many(needed))
         # In a global namespace, the inode size/mtime update is a shared
         # metadata operation and must take the distributed lock ("other
         # systems must use distributed locking algorithms for each
@@ -478,40 +485,38 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         yield from self._journal(
             LogOp.WRITE, ino=inode.ino, a=offset, b=nbytes, physical_weight=weight
         )
-        runs = self._block_runs(inode, offset, payload)
+        runs = []
+        consumed = 0
+        for device_offset, take in self._device_runs(inode, offset, nbytes):
+            runs.append((device_offset, payload.slice(consumed, take)))
+            consumed += take
         yield from self.data_plane.write_runs(runs, qos=qos)
         inode.size = max(inode.size, end)
         inode.mtime = self.env.now
         self.counters.add("app_bytes_written", nbytes)
         return nbytes
 
-    def _block_runs(
-        self, inode: Inode, offset: int, payload: Payload
-    ) -> List[Tuple[int, Payload]]:
-        """Split a file-relative write into contiguous device runs."""
+    def _device_runs(
+        self, inode: Inode, offset: int, nbytes: int
+    ) -> List[Tuple[int, int]]:
+        """``(device offset, length)`` runs covering file bytes
+        ``[offset, offset + nbytes)``: one per extent touched, since
+        extents are maximal."""
         block = self.config.effective_block_bytes
-        runs: List[Tuple[int, Payload]] = []
-        consumed = 0
-        nbytes = payload.nbytes
-        while consumed < nbytes:
-            file_at = offset + consumed
-            index = file_at // block
-            intra = file_at % block
-            run_blocks = [inode.blocks[index]]
-            # Extend the run while device blocks stay contiguous.
-            take = block - intra
-            while consumed + take < nbytes:
-                nxt = (file_at + take) // block
-                if inode.blocks[nxt] != run_blocks[-1] + 1:
+        runs: List[Tuple[int, int]] = []
+        pos = offset
+        end = offset + nbytes
+        extent_at = 0  # file byte offset of the current extent
+        for start, length in inode.extents:
+            extent_end = extent_at + length * block
+            if pos < extent_end:
+                take = min(extent_end, end) - pos
+                device_offset = self._data_offset + self.pool.offset_of(start)
+                runs.append((device_offset + pos - extent_at, take))
+                pos += take
+                if pos == end:
                     break
-                run_blocks.append(inode.blocks[nxt])
-                take += block
-            take = min(take, nbytes - consumed)
-            device_offset = (
-                self._data_offset + self.pool.offset_of(run_blocks[0]) + intra
-            )
-            runs.append((device_offset, payload.slice(consumed, take)))
-            consumed += take
+            extent_at = extent_end
         return runs
 
     def read(
@@ -540,21 +545,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         nbytes = max(0, min(nbytes, inode.size - offset))
         if nbytes == 0:
             return []
-        block = self.config.effective_block_bytes
-        runs: List[Tuple[int, int]] = []
-        consumed = 0
-        while consumed < nbytes:
-            file_at = offset + consumed
-            index = file_at // block
-            intra = file_at % block
-            take = min(block - intra, nbytes - consumed)
-            last = runs[-1] if runs else None
-            device_offset = self._data_offset + self.pool.offset_of(inode.blocks[index]) + intra
-            if last is not None and last[0] + last[1] == device_offset:
-                runs[-1] = (last[0], last[1] + take)
-            else:
-                runs.append((device_offset, take))
-            consumed += take
+        runs = self._device_runs(inode, offset, nbytes)
         extents = yield from self.data_plane.read_runs(runs, qos=qos)
         self.counters.add("app_bytes_read", nbytes)
         return [e.payload for e in extents]
@@ -595,7 +586,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         )
         parent.remove_entry(base)
         self.namespace_index.delete(path)
-        self.pool.free_many(inode.blocks)
+        self.pool.free_many(inode.extents)
         del self.inodes[inode.ino]
         yield from self._write_dir_file(parent)
         self.counters.add("unlinks")
@@ -727,7 +718,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         * every directory entry matches the index and the child inode,
         * every inode is reachable from the root exactly once,
         * block accounting matches the pool (no leaks, no double use),
-        * file sizes fit their block lists.
+        * file sizes fit their block maps.
         """
         # Index <-> inode table.
         seen_inos = set()
@@ -764,16 +755,21 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
             f"orphan inodes: {set(self.inodes) - reachable}"
         )
         # Block accounting.
-        used_blocks = [b for inode in self.inodes.values() for b in inode.blocks]
-        assert len(used_blocks) == len(set(used_blocks)), "block double-use"
-        assert len(used_blocks) == self.pool.used_blocks, (
-            f"pool says {self.pool.used_blocks} used, inodes hold {len(used_blocks)}"
+        held = sorted(e for inode in self.inodes.values() for e in inode.extents)
+        held_blocks = 0
+        prev_end = 0
+        for start, length in held:
+            assert start >= prev_end, f"block double-use at block {start}"
+            prev_end = start + length
+            held_blocks += length
+        assert held_blocks == self.pool.used_blocks, (
+            f"pool says {self.pool.used_blocks} used, inodes hold {held_blocks}"
         )
-        # Sizes fit block lists.
+        # Sizes fit block maps.
         block = self.config.effective_block_bytes
         for inode in self.inodes.values():
             if inode.ftype is FileType.FILE:
-                assert inode.size <= len(inode.blocks) * block, (
+                assert inode.size <= inode.nblocks * block, (
                     f"inode {inode.ino}: size {inode.size} exceeds blocks"
                 )
 

@@ -4,11 +4,15 @@
 as inodes to store file metadata and directory files to store directory
 entries."
 
-An inode records type, size, permissions, and the ordered list of
-hugeblock indices backing the file. Directory inodes carry their entries
-in DRAM; each entry mutation is durably captured by the operation log
-(and the directory *file* blocks on the SSD are rewritten by the fs
-layer, which is where Figure 8(b)'s create traffic comes from).
+An inode records type, size, permissions, and the file's blocks as an
+ordered list of maximal extents: ``(start, length)`` runs of hugeblocks,
+where a run that continues the previous one on the device is always
+merged into it. A sequentially written file is one extent, so the
+per-file block map costs O(extents), not O(blocks). Directory inodes
+carry their entries in DRAM; each entry mutation is durably captured by
+the operation log (and the directory *file* blocks on the SSD are
+rewritten by the fs layer, which is where Figure 8(b)'s create traffic
+comes from).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.microfs.blockpool import Extent
 from repro.errors import IsADirectory, NotADirectory
 
 __all__ = ["FileType", "Inode", "DirEntry"]
@@ -48,7 +53,7 @@ class Inode:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op orde
     nlink: int = 1
     ctime: float = 0.0
     mtime: float = 0.0
-    blocks: List[int] = field(default_factory=list)
+    extents: List[Extent] = field(default_factory=list)
     entries: Optional[Dict[str, DirEntry]] = None  # directories only
 
     def __post_init__(self) -> None:
@@ -64,6 +69,35 @@ class Inode:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op orde
     def require_dir(self) -> None:
         if self.ftype is not FileType.DIRECTORY:
             raise NotADirectory(f"inode {self.ino} is not a directory")
+
+    # -- block map -------------------------------------------------------------------
+
+    @property
+    def nblocks(self) -> int:
+        """Blocks backing the file."""
+        return sum(length for _start, length in self.extents)
+
+    def append_extents(self, extents: List[Extent]) -> None:
+        """Append newly allocated extents, merging where contiguous."""
+        for start, length in extents:
+            if self.extents:
+                last_start, last_length = self.extents[-1]
+                if last_start + last_length == start:
+                    self.extents[-1] = (last_start, last_length + length)
+                    continue
+            self.extents.append((start, length))
+
+    def truncate_extents(self, keep: int) -> List[Extent]:
+        """Keep the first ``keep`` blocks; return the dropped tail in file order."""
+        covered = 0
+        for i, (start, length) in enumerate(self.extents):
+            if covered + length > keep:
+                cut = keep - covered
+                dropped = [(start + cut, length - cut), *self.extents[i + 1:]]
+                self.extents[i:] = [(start, cut)] if cut else []
+                return dropped
+            covered += length
+        return []
 
     # -- directory ops -----------------------------------------------------------------
 
@@ -103,7 +137,7 @@ class Inode:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op orde
             "nlink": self.nlink,
             "ctime": self.ctime,
             "mtime": self.mtime,
-            "blocks": list(self.blocks),
+            "extents": list(self.extents),
         }
         if self.ftype is FileType.DIRECTORY:
             snap["entries"] = {
@@ -123,7 +157,7 @@ class Inode:  # reproflow: ignore[FLOW103] (writes serialized by MicroFS op orde
             nlink=snap["nlink"],
             ctime=snap["ctime"],
             mtime=snap["mtime"],
-            blocks=list(snap["blocks"]),
+            extents=list(snap["extents"]),
         )
         if ftype is FileType.DIRECTORY:
             for name, (ino, etype) in snap["entries"].items():

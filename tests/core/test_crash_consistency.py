@@ -105,8 +105,29 @@ def test_fsck_detects_block_double_use(rig):
     rig.run(workload())
     # Sabotage: duplicate a block reference.
     inode = rig.fs.stat("/f")
-    inode.blocks.append(inode.blocks[0])
+    inode.extents.append(inode.extents[0])
     import pytest
 
     with pytest.raises(AssertionError):
+        rig.fs.check_consistency()
+
+
+def test_fsck_detects_partial_extent_overlap(rig):
+    def workload():
+        for path in ("/f", "/g"):
+            fd = yield from rig.fs.open(path, create=True)
+            yield from rig.fs.write(fd, 2 * rig.config.effective_block_bytes)
+            yield from rig.fs.close(fd)
+
+    rig.run(workload())
+    rig.fs.check_consistency()
+    f, g = rig.fs.stat("/f"), rig.fs.stat("/g")
+    (f_start, f_len), = f.extents
+    assert g.extents == [(f_start + f_len, 2)]
+    # Sabotage: shift /g back one block, so it shares /f's last block
+    # while the held block count still matches the pool.
+    g.extents = [(f_start + f_len - 1, 2)]
+    import pytest
+
+    with pytest.raises(AssertionError, match="double-use"):
         rig.fs.check_consistency()

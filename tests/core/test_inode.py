@@ -9,7 +9,8 @@ from repro.errors import IsADirectory, NotADirectory
 def test_file_inode_defaults():
     inode = Inode(ino=2, ftype=FileType.FILE)
     assert inode.entries is None
-    assert inode.blocks == []
+    assert inode.extents == []
+    assert inode.nblocks == 0
     inode.require_file()
     with pytest.raises(NotADirectory):
         inode.require_dir()
@@ -53,13 +54,14 @@ def test_dir_ops_on_file_rejected():
 
 def test_snapshot_restore_file():
     inode = Inode(ino=7, ftype=FileType.FILE, mode=0o600, uid=3,
-                  size=12345, blocks=[1, 2, 9])
+                  size=12345, extents=[(1, 2), (9, 1)])
     restored = Inode.restore(inode.snapshot())
     assert restored.ino == 7
     assert restored.mode == 0o600
     assert restored.uid == 3
     assert restored.size == 12345
-    assert restored.blocks == [1, 2, 9]
+    assert restored.extents == [(1, 2), (9, 1)]
+    assert restored.nblocks == 3
     assert restored.ftype is FileType.FILE
 
 

@@ -88,7 +88,7 @@ def test_microfs_matches_model_and_recovers(ops):
     }
     assert recovered_view == model
     for path in model:
-        assert recovered.stat(path).blocks == fs.stat(path).blocks
+        assert recovered.stat(path).extents == fs.stat(path).extents
     assert recovered.pool.free_blocks == fs.pool.free_blocks
 
 
@@ -125,4 +125,4 @@ def test_sequential_appends_any_sizes_recover(sizes, coalesce):
 
     recovered, _ = rig.run(do_recover())
     assert recovered.stat("/seq").size == expected
-    assert recovered.stat("/seq").blocks == rig.fs.stat("/seq").blocks
+    assert recovered.stat("/seq").extents == rig.fs.stat("/seq").extents

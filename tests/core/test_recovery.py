@@ -57,11 +57,11 @@ def test_recovery_block_assignment_deterministic(rig):
         yield from rig.fs.close(fd)
 
     rig.run(workload())
-    live_a = rig.fs.stat("/a").blocks
-    live_b = rig.fs.stat("/b").blocks
+    live_a = rig.fs.stat("/a").extents
+    live_b = rig.fs.stat("/b").extents
     recovered, _report = fresh_recovery(rig)
-    assert recovered.stat("/a").blocks == live_a
-    assert recovered.stat("/b").blocks == live_b
+    assert recovered.stat("/a").extents == live_a
+    assert recovered.stat("/b").extents == live_b
 
 
 def test_recovered_data_readable(rig):
@@ -116,8 +116,8 @@ def test_state_checkpoint_then_recovery(rig):
     assert report.records_replayed >= 2  # creat + write of new.dat only
     assert recovered.exists("/d/old.dat")
     assert recovered.exists("/d/new.dat")
-    assert recovered.stat("/d/old.dat").blocks == rig.fs.stat("/d/old.dat").blocks
-    assert recovered.stat("/d/new.dat").blocks == rig.fs.stat("/d/new.dat").blocks
+    assert recovered.stat("/d/old.dat").extents == rig.fs.stat("/d/old.dat").extents
+    assert recovered.stat("/d/new.dat").extents == rig.fs.stat("/d/new.dat").extents
 
 
 def test_state_checkpoint_resets_log(rig):
@@ -287,3 +287,39 @@ def test_recovery_duration_is_fast(rig):
     rig.run(workload())
     _recovered, report = fresh_recovery(rig)
     assert report.duration < 0.1  # well under the paper's ~0.5s/instance
+
+
+def test_persisted_state_is_o_extents():
+    """The state blob records runs, not blocks: a 64x larger file at 4K
+    blocks adds at most a few bytes, and recovering from it continues
+    allocating exactly like the live instance."""
+    def rig_with_file(nbytes):
+        r = MicroFSRig(config=RuntimeConfig(
+            hugeblocks=False, log_region_bytes=MiB(1), state_region_bytes=MiB(16)))
+
+        def workload():
+            fd = yield from r.fs.open("/f", create=True)
+            yield from r.fs.write(fd, nbytes)
+            yield from r.fs.close(fd)
+
+        r.run(workload())
+        return r
+
+    small, big = rig_with_file(MiB(1)), rig_with_file(MiB(64))
+    assert big.config.effective_block_bytes == KiB(4)
+    assert big.fs.stat("/f").nblocks == MiB(64) // KiB(4)
+    assert abs(len(big.fs.serialize_state()) - len(small.fs.serialize_state())) <= 32
+
+    def more():
+        yield from big.fs.checkpoint_state()
+        fd = yield from big.fs.open("/g", create=True)
+        yield from big.fs.write(fd, MiB(3))
+        yield from big.fs.close(fd)
+
+    big.run(more())
+    recovered, report = fresh_recovery(big)
+    assert report.state_loaded and report.records_replayed > 0
+    for path in ("/", "/f", "/g"):
+        assert recovered.stat(path).extents == big.fs.stat(path).extents
+    recovered.check_consistency()
+    assert recovered.pool.alloc_many(1000) == big.fs.pool.alloc_many(1000)
