@@ -182,8 +182,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(f"negative or NaN timeout delay: {delay}")
         super().__init__(env)
         self.delay = delay
         self._triggered = True

@@ -9,6 +9,19 @@ behind (progressive water-filling).
 Whenever the flow set changes, all in-flight flows are re-rated — this
 mid-flight re-rating is why the kernel is custom rather than SimPy.
 
+The flows live in one list kept in water-filling order: cap ascending,
+uncapped flows (an infinite cap) last, arrival order among equal caps.
+An arrival is inserted in place (almost always an append), so no
+re-rate sorts. Each re-rate is one pass over that list that drains
+every flow at its old rate, gives it ``min(share, cap)`` of what is
+left, and tracks the nearest completion. A wake is one pass that drains
+and finds the finished flows, then one re-rate of the rest.
+
+The arithmetic is progressive filling, not GPS virtual time. Even with
+every flow uncapped, ``share = left / (n - index)`` after subtracting
+the earlier shares is not always the float ``capacity / n``, so a
+virtual-time form would move simulated timestamps in their last bits.
+
 The fluid model is the *fast path* for bulk transfers. Per-command
 effects (fixed costs, whole-command granularity) are layered on top by
 :mod:`repro.nvme.device`, which charges them explicitly.
@@ -17,7 +30,9 @@ effects (fixed costs, whole-command granularity) are layered on top by
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+import math
+from operator import attrgetter
+from typing import List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.engine import Environment, Event
@@ -25,10 +40,17 @@ from repro.sim.engine import Environment, Event
 __all__ = ["FairShareServer", "Flow"]
 
 _EPSILON_BYTES = 1e-6  # below this a flow is complete (fp dust)
+_EPSILON_SECONDS = 1e-12  # remaining service time below this is fp dust
+
+_arrival = attrgetter("flow_id")
 
 
 class Flow:
-    """One in-flight transfer on a :class:`FairShareServer`."""
+    """One in-flight transfer on a :class:`FairShareServer`.
+
+    ``cap`` is ``math.inf`` for an uncapped flow, so one
+    ``min(share, cap)`` rates every flow.
+    """
 
     __slots__ = ("flow_id", "remaining", "cap", "rate", "event", "started_at")
 
@@ -42,7 +64,7 @@ class Flow:
     ):
         self.flow_id = flow_id
         self.remaining = float(nbytes)
-        self.cap = cap
+        self.cap = math.inf if cap is None else cap
         self.rate = 0.0
         self.event = event
         self.started_at = started_at
@@ -56,18 +78,16 @@ class FairShareServer:
     _san_tiebreak = "commutative"
 
     def __init__(self, env: Environment, capacity: float, name: str = "pipe") -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity}")
+        if not 0 < capacity < math.inf:
+            raise SimulationError(f"capacity must be positive and finite, got {capacity}")
         self.env = env
         self.capacity = float(capacity)
         self.name = name
-        self._flows: Dict[int, Flow] = {}
+        self._flows: List[Flow] = []  # water-filling order
         self._ids = itertools.count()
         self._last_update = env.now
         self._wake_generation = 0
-        # Accounting.
         self.bytes_served = 0.0
-        self._busy_time = 0.0
 
     # -- public API -----------------------------------------------------------
 
@@ -81,10 +101,10 @@ class FairShareServer:
         ``cap`` optionally limits this flow's rate (bytes/s) below its
         fair share.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
-        if cap is not None and cap <= 0:
-            raise SimulationError(f"non-positive rate cap: {cap}")
+        if not 0 <= nbytes < math.inf:
+            raise SimulationError(f"transfer size must be finite and non-negative: {nbytes}")
+        if cap is not None and not cap > 0:
+            raise SimulationError(f"rate cap must be positive: {cap}")
         event = self.env.event()
         if nbytes == 0:
             event.succeed(0.0)
@@ -92,60 +112,63 @@ class FairShareServer:
         telemetry = self.env.telemetry
         if telemetry is not None:
             telemetry.fairshare_flows += 1
-        self._advance()
-        flow = Flow(next(self._ids), nbytes, cap, event, self.env.now)
-        self._flows[flow.flow_id] = flow
-        self._rerate_and_schedule()
+        now = self.env.now
+        flow = Flow(next(self._ids), nbytes, cap, event, now)
+        # Insert in fill order: after every flow with a cap <= this one's.
+        flows = self._flows
+        index = len(flows)
+        while index and flows[index - 1].cap > flow.cap:
+            index -= 1
+        flows.insert(index, flow)
+        dt = now - self._last_update
+        self._last_update = now
+        self._rerate_and_schedule(dt)
         return event
 
     def utilisation(self, since: float = 0.0) -> float:
         """Fraction of capacity-time used on [since, now]."""
-        self._advance()
         horizon = self.env.now - since
         if horizon <= 0:
             return 0.0
-        return min(1.0, self._busy_time / (horizon * self.capacity))
+        in_flight = sum(flow.rate for flow in self._flows)
+        busy = self.bytes_served + in_flight * (self.env.now - self._last_update)
+        return min(1.0, busy / (horizon * self.capacity))
 
     # -- internals --------------------------------------------------------------
 
-    def _advance(self) -> None:
-        """Drain bytes for the elapsed interval at current rates."""
-        now = self.env.now
-        dt = now - self._last_update
-        if dt > 0:
-            for flow in self._flows.values():
-                moved = flow.rate * dt
-                flow.remaining -= moved
-                self.bytes_served += moved
-                self._busy_time += moved  # busy integral == bytes moved / capacity-normalised later
-        self._last_update = now
-
-    def _rerate_and_schedule(self) -> None:
-        """Assign max-min fair rates, then schedule the next completion."""
-        flows = list(self._flows.values())
-        if not flows:
-            return
+    def _rerate_and_schedule(self, dt: float) -> None:
+        """Drain ``dt`` at the old rates, assign max-min fair rates and
+        schedule the next completion, all in one pass."""
         telemetry = self.env.telemetry
         if telemetry is not None:
             telemetry.fairshare_recomputes += 1
-        # Progressive filling: capped flows that can't use a full fair
-        # share free capacity for the rest.
+        # Progressive filling over the fill-ordered flows: a capped flow
+        # that can't use a full fair share frees capacity for the rest.
         remaining_capacity = self.capacity
-        unassigned = sorted(
-            flows, key=lambda f: (f.cap if f.cap is not None else float("inf"))
-        )
-        count = len(unassigned)
-        for index, flow in enumerate(unassigned):
-            share = remaining_capacity / (count - index)
-            rate = min(share, flow.cap) if flow.cap is not None else share
+        count = len(self._flows)
+        served = self.bytes_served
+        horizon = math.inf
+        for flow in self._flows:
+            moved = flow.rate * dt
+            remaining = flow.remaining - moved
+            flow.remaining = remaining
+            served += moved
+            share = remaining_capacity / count
+            count -= 1
+            cap = flow.cap
+            rate = cap if cap < share else share
             flow.rate = rate
             remaining_capacity -= rate
-        # Next completion. _advance() can leave an almost-finished flow
-        # with remaining ~ -1e-16 (fp dust), which would make the horizon
-        # negative and the timeout below illegal — clamp to "fire now".
-        horizon = max(0.0, min(
-            (f.remaining / f.rate) for f in flows if f.rate > 0
-        ))
+            if rate > 0:
+                until_done = remaining / rate
+                if until_done < horizon:
+                    horizon = until_done
+        self.bytes_served = served
+        # Draining can leave an almost-finished flow with remaining
+        # ~ -1e-16 (fp dust), which would make the horizon negative and
+        # the timeout below illegal — clamp to "fire now".
+        if not horizon > 0:
+            horizon = 0.0
         self._wake_generation += 1
         generation = self._wake_generation
         wake = self.env.timeout(horizon)
@@ -154,33 +177,38 @@ class FairShareServer:
     def _on_wake(self, generation: int) -> None:
         if generation != self._wake_generation:
             return  # superseded by a newer re-rate
-        self._advance()
-        finished = [
-            f for f in self._flows.values() if self._is_done(f)
-        ]
-        if not finished and self._flows:
+        now = self.env.now
+        dt = now - self._last_update
+        self._last_update = now
+        flows = self._flows
+        served = self.bytes_served
+        finished: List[Flow] = []
+        for flow in flows:
+            rate = flow.rate
+            moved = rate * dt
+            remaining = flow.remaining - moved
+            flow.remaining = remaining
+            served += moved
+            if remaining <= _EPSILON_BYTES or (
+                rate > 0 and remaining / rate <= _EPSILON_SECONDS
+            ):
+                finished.append(flow)
+        self.bytes_served = served
+        if not finished:
             # Floating-point guard: when every remaining service time is
             # below the clock's resolution (now + dt == now), time can
-            # no longer advance — finish the nearest flow explicitly
-            # rather than spinning.
+            # no longer advance — finish the nearest flow (the earliest
+            # arrival among ties) explicitly rather than spinning.
             nearest = min(
-                (f for f in self._flows.values() if f.rate > 0),
-                key=lambda f: f.remaining / f.rate,
+                ((f.remaining / f.rate, f.flow_id, f) for f in flows if f.rate > 0),
                 default=None,
             )
-            if nearest is not None and (
-                self.env.now + nearest.remaining / nearest.rate == self.env.now
-            ):
-                finished = [nearest]
+            if nearest is not None and now + nearest[0] == now:
+                finished.append(nearest[2])
+        elif len(finished) > 1:
+            finished.sort(key=_arrival)  # complete in arrival order
         for flow in finished:
-            del self._flows[flow.flow_id]
-            flow.event.succeed(self.env.now - flow.started_at)
-        if self._flows:
-            self._rerate_and_schedule()
-
-    @staticmethod
-    def _is_done(flow: Flow) -> bool:
-        if flow.remaining <= _EPSILON_BYTES:
-            return True
-        # Remaining service time below a picosecond is numeric dust.
-        return flow.rate > 0 and flow.remaining / flow.rate <= 1e-12
+            flows.remove(flow)
+            flow.event.succeed(now - flow.started_at)
+        if flows:
+            self._rerate_and_schedule(0.0)

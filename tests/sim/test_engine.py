@@ -39,6 +39,13 @@ def test_negative_delay_rejected():
         env.timeout(-1.0)
 
 
+def test_nan_delay_rejected():
+    env = Environment()
+    with pytest.raises(SimulationError):
+        env.timeout(float("nan"))
+    assert env.events_scheduled == 0
+
+
 def test_events_fire_in_time_order():
     env = Environment()
     order = []

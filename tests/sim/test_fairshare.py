@@ -1,6 +1,8 @@
 """Unit tests for the fluid fair-share bandwidth server."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Environment, FairShareServer
@@ -105,6 +107,37 @@ def test_invalid_capacity_rejected():
         FairShareServer(env, capacity=0.0)
 
 
+def test_nan_transfer_rejected():
+    env = Environment()
+    server = FairShareServer(env, capacity=100.0)
+    with pytest.raises(SimulationError):
+        server.transfer(float("nan"))
+    assert server.active_flows == 0
+
+
+def test_infinite_transfer_rejected():
+    env = Environment()
+    server = FairShareServer(env, capacity=100.0)
+    with pytest.raises(SimulationError):
+        server.transfer(float("inf"))
+    assert server.active_flows == 0
+
+
+def test_nan_cap_rejected():
+    env = Environment()
+    server = FairShareServer(env, capacity=100.0)
+    with pytest.raises(SimulationError):
+        server.transfer(10.0, cap=float("nan"))
+    assert server.active_flows == 0
+
+
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+def test_non_finite_capacity_rejected(capacity):
+    env = Environment()
+    with pytest.raises(SimulationError):
+        FairShareServer(env, capacity=capacity)
+
+
 def test_bytes_served_accounting():
     env = Environment()
     server = FairShareServer(env, capacity=100.0)
@@ -166,3 +199,26 @@ def test_fp_dust_never_schedules_negative_horizon():
         env.process(client(i, kind))
     env.run()
     assert sorted(done) == list(range(len(ops)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 10**6), min_size=1, max_size=12),
+    capacity=st.floats(1.0, 1e6),
+)
+def test_processor_sharing_closed_form(sizes, capacity):
+    """n uncapped flows arriving together are processor sharing: with
+    sorted sizes s_1 <= ... <= s_n (s_0 = 0), the k-th finishes at
+    T_k = sum_{j<=k} (n - j + 1) (s_j - s_{j-1}) / C."""
+    env = Environment()
+    server = FairShareServer(env, capacity=capacity)
+    done = run_transfers(env, server, [(0.0, float(s), None) for s in sizes])
+    n = len(sizes)
+    expected = {}
+    t, previous = 0.0, 0
+    for j, size in enumerate(sorted(sizes), start=1):
+        t += (n - j + 1) * (size - previous) / capacity
+        expected[size] = t
+        previous = size
+    for i, size in enumerate(sizes):
+        assert done[i] == pytest.approx(expected[size], rel=1e-9)
