@@ -72,7 +72,7 @@ RULES: Dict[str, Rule] = {
             "wall-clock",
             "wall-clock read in simulation code",
             "read env.now (simulated seconds); wall time belongs only in "
-            "the self-profiler and CLI reporting",
+            "the host sampler and CLI reporting",
         ),
         Rule(
             "DET002",
@@ -214,15 +214,15 @@ class LintConfig:
     #: Per-rule path allowlists (suffix match): rule does not fire there.
     allow: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: {
-            # The self-profiler and the sampling profiler measure the
-            # *simulator's* wall cost and never feed simulated time; the
-            # RNG hub is the one place seeded generators are minted; the
+            # The capture session's wall-time report and the sampling
+            # profiler measure the *simulator's* host cost and never feed
+            # simulated time; the RNG hub is the one place seeded generators are minted; the
             # plan executors are the one sanctioned worker-process
             # boundary — their wall clocks and pids are shard
             # diagnostics that never reach any fingerprinted field (see
             # repro/exec/executors.py).
-            "DET001": ("repro/obs/context.py", "repro/obs/export.py",
-                       "repro/obs/sampling.py", "repro/exec/executors.py"),
+            "DET001": ("repro/obs/context.py", "repro/obs/sampling.py",
+                       "repro/exec/executors.py"),
             "DET002": ("repro/sim/rng.py",),
             "DET008": ("repro/exec/executors.py",),
         }

@@ -219,8 +219,6 @@ def main(argv=None) -> int:
                       help="also write the spans as flat JSONL")
     runp.add_argument("--metrics", action="store_true",
                       help="print the metrics/span summary after the run")
-    runp.add_argument("--profile", action="store_true",
-                      help="wall-clock self-profile of the simulator itself")
     runp.add_argument("--qos", choices=("wrr", "fcfs", "both"), default=None,
                       help="arbitration mode(s) for the qos experiment")
     runp.add_argument("--batching", action="store_true",
@@ -370,7 +368,6 @@ def main(argv=None) -> int:
         # Shorthand: `repro trace fig8a` == `repro run fig8a --trace ...`.
         args.trace = args.out or f"{args.name}.trace.json"
         args.trace_jsonl = None
-        args.profile = False
         args.fast = False
         args.export = None
         args.qos = None
@@ -402,20 +399,17 @@ def main(argv=None) -> int:
         if args.shards is not None and args.shards < 1:
             print("--shards must be >= 1", file=sys.stderr)
             return 2
-        if sharded and (args.trace or args.trace_jsonl or args.profile
-                        or args.sanitize):
+        if sharded and (args.trace or args.trace_jsonl or args.sanitize):
             print("--shards > 1 runs units in worker processes and cannot "
-                  "combine with --trace/--trace-jsonl/--profile/--sanitize "
+                  "combine with --trace/--trace-jsonl/--sanitize "
                   "(merged metrics stay available via --metrics)",
                   file=sys.stderr)
             return 2
 
-    want_obs = bool(
-        args.trace or args.trace_jsonl or args.metrics or args.profile
-    ) and not sharded
+    want_obs = bool(args.trace or args.trace_jsonl or args.metrics) and not sharded
     if args.sanitize and want_obs:
         print("--sanitize re-runs the experiment and cannot combine with "
-              "--trace/--trace-jsonl/--metrics/--profile", file=sys.stderr)
+              "--trace/--trace-jsonl/--metrics", file=sys.stderr)
         return 2
     if args.sanitize and args.name == "all":
         print("--sanitize applies to single experiments, not 'all'",
@@ -512,8 +506,7 @@ def main(argv=None) -> int:
     if want_obs:
         from repro import obs
 
-        with obs.capture(trace=bool(args.trace or args.trace_jsonl),
-                         profile=args.profile) as cap:
+        with obs.capture(trace=bool(args.trace or args.trace_jsonl)) as cap:
             table = fn(**kwargs)
     else:
         cap = None
@@ -548,7 +541,7 @@ def main(argv=None) -> int:
                   f"({cap.n_spans()} spans; open in ui.perfetto.dev)")
         if args.trace_jsonl:
             print(f"wrote {cap.write_jsonl(args.trace_jsonl)}")
-        if args.metrics or args.profile:
+        if args.metrics:
             print(cap.report())
     if args.export:
         from repro.bench.report import export

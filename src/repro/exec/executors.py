@@ -39,7 +39,6 @@ class ExecutionError(RuntimeError):
 
 
 def run_unit(unit: SimUnit, shard: int = 0, trace: Optional[bool] = None,
-             profile: Optional[bool] = None,
              telemetry: Optional[bool] = None) -> UnitResult:
     """Run one unit in this process and harvest its observability.
 
@@ -58,13 +57,10 @@ def run_unit(unit: SimUnit, shard: int = 0, trace: Optional[bool] = None,
     session = current_session()
     want_trace = trace if trace is not None else (
         session.trace if session is not None else False)
-    want_profile = profile if profile is not None else (
-        session.profile if session is not None else False)
     want_telemetry = telemetry if telemetry is not None else (
         getattr(session, "telemetry", False) if session is not None else False)
     t0 = time.perf_counter()
-    with obs.capture(trace=want_trace, profile=want_profile,
-                     telemetry=want_telemetry) as cap:
+    with obs.capture(trace=want_trace, telemetry=want_telemetry) as cap:
         payload = fn(**unit.params)
     wall = time.perf_counter() - t0
 
@@ -142,7 +138,7 @@ class InProcessExecutor(Executor):
 
 
 def _shard_worker(shard_id: int, units: List[SimUnit], conn: Any,
-                  trace: bool, profile: bool, telemetry: bool) -> None:
+                  trace: bool, telemetry: bool) -> None:
     """Worker-process entry point: run one shard's units in plan order.
 
     Runs in a child process (fork or spawn); the pid is reported for
@@ -155,7 +151,7 @@ def _shard_worker(shard_id: int, units: List[SimUnit], conn: Any,
     pid = os.getpid()
     try:
         results = [run_unit(unit, shard=shard_id, trace=trace,
-                            profile=profile, telemetry=telemetry)
+                            telemetry=telemetry)
                    for unit in units]
         conn.send(("ok", shard_id, pid, results))
     except BaseException:  # noqa: BLE001 - worker must report, not die silently
@@ -176,8 +172,7 @@ class ShardedExecutor(Executor):
     """
 
     def __init__(self, shards: int, start_method: str = "fork",
-                 trace: bool = False, profile: bool = False,
-                 telemetry: bool = False) -> None:
+                 trace: bool = False, telemetry: bool = False) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if start_method not in ("fork", "spawn", "forkserver", "inline"):
@@ -185,7 +180,6 @@ class ShardedExecutor(Executor):
         self.shards = shards
         self.start_method = start_method
         self.trace = trace
-        self.profile = profile
         self.telemetry = telemetry
 
     def execute(self, plan: ExecutionPlan) -> ExecutionResult:
@@ -219,7 +213,6 @@ class ShardedExecutor(Executor):
             t0 = time.perf_counter()
             shard_results.append(
                 [run_unit(u, shard=shard_id, trace=self.trace or None,
-                          profile=self.profile or None,
                           telemetry=self.telemetry or None) for u in units]
             )
             walls.append(time.perf_counter() - t0)
@@ -236,8 +229,7 @@ class ShardedExecutor(Executor):
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_shard_worker,
-                args=(shard_id, units, child_conn, self.trace, self.profile,
-                      self.telemetry),
+                args=(shard_id, units, child_conn, self.trace, self.telemetry),
                 name=f"repro-shard-{shard_id}",
             )
             t0 = time.perf_counter()
@@ -269,10 +261,9 @@ class ShardedExecutor(Executor):
 
 
 def make_executor(shards: int = 1, start_method: Optional[str] = None,
-                  trace: bool = False, profile: bool = False,
-                  telemetry: bool = False) -> Executor:
+                  trace: bool = False, telemetry: bool = False) -> Executor:
     """The CLI's routing rule: ``--shards 1`` keeps the classic engine."""
     if shards <= 1 and start_method is None:
         return InProcessExecutor()
     return ShardedExecutor(max(1, shards), start_method=start_method or "fork",
-                           trace=trace, profile=profile, telemetry=telemetry)
+                           trace=trace, telemetry=telemetry)

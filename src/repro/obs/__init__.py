@@ -19,9 +19,10 @@ one to every built backend, so ``repro run fig8a --trace out.json``
 traces any system with no experiment changes.
 
 Determinism rules: span *ordering* and timestamps use only simulated
-time and creation sequence — never the wall clock. Wall-clock
-self-profiling of the simulator itself lives in the separate, clearly
-labelled :attr:`ObsContext.selfprof` channel and never enters spans.
+time and creation sequence — never the wall clock. Host-time
+profiling of the simulator itself is the job of the sampler in
+:mod:`repro.obs.sampling` (``repro profile --sample``), which only
+observes stacks and never enters spans.
 
 Tracing is near-zero-cost when disabled: ``tracer_of(env)`` returns
 ``None`` (one attribute read + one truth test), and the no-op

@@ -6,7 +6,7 @@ every backend built through :mod:`repro.systems` is observable with no
 experiment changes.
 
 :func:`capture` opens a process-wide session: every context attached
-while it is active inherits the session's tracing/profiling switches and
+while it is active inherits the session's tracing/telemetry switches and
 registers itself, so a CLI run that builds several environments (e.g.
 fig8a builds three fleets) exports them all into one trace file, one
 Perfetto process row per environment.
@@ -21,43 +21,19 @@ from typing import Dict, List, Optional
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
-__all__ = ["ObsContext", "SelfProfile", "Capture", "attach", "capture",
-           "current_session", "tracer_of"]
-
-
-class SelfProfile:
-    """Wall-clock self-profiling of the *simulator* (host time).
-
-    This is the one place wall-clock time is allowed: it measures how
-    long the Python event loop spends executing each event class, so hot
-    paths of the simulator itself can be found.  It never feeds into
-    spans, metrics, or anything else that must be deterministic.
-    """
-
-    def __init__(self) -> None:
-        self.wall_s: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
-
-    def add(self, key: str, wall: float, count: int = 1) -> None:
-        self.wall_s[key] = self.wall_s.get(key, 0.0) + wall
-        self.calls[key] = self.calls.get(key, 0) + count
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {k: {"wall_s": self.wall_s[k], "calls": self.calls[k]}
-                for k in sorted(self.wall_s)}
+__all__ = ["ObsContext", "Capture", "attach", "capture", "current_session",
+           "tracer_of"]
 
 
 class ObsContext:
-    """Tracer + metrics registry + self-profile for one environment."""
+    """Tracer + metrics registry for one environment."""
 
     def __init__(self, env, label: str = "run", tracing: bool = False,
-                 profile: bool = False, telemetry: bool = False):
+                 telemetry: bool = False):
         self.env = env
         self.label = label
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(env) if tracing else NULL_TRACER
-        self.profile = profile
-        self.selfprof = SelfProfile()
         if telemetry:
             self.enable_telemetry()
 
@@ -100,10 +76,8 @@ _SESSION: Optional["Capture"] = None
 class Capture:
     """Collects every ObsContext attached while the session is active."""
 
-    def __init__(self, trace: bool = False, profile: bool = False,
-                 telemetry: bool = False):
+    def __init__(self, trace: bool = False, telemetry: bool = False):
         self.trace = trace
-        self.profile = profile
         self.telemetry = telemetry
         self.contexts: List[ObsContext] = []
         self.started_wall = _time.perf_counter()
@@ -135,12 +109,11 @@ class Capture:
 
 
 @contextmanager
-def capture(trace: bool = False, profile: bool = False,
-            telemetry: bool = False):
+def capture(trace: bool = False, telemetry: bool = False):
     """Session scope: contexts attached inside inherit these switches."""
     global _SESSION
     prev = _SESSION
-    session = Capture(trace=trace, profile=profile, telemetry=telemetry)
+    session = Capture(trace=trace, telemetry=telemetry)
     _SESSION = session
     try:
         yield session
@@ -164,7 +137,6 @@ def current_session() -> Optional["Capture"]:
 
 
 def attach(env, label: str = "run", tracing: Optional[bool] = None,
-           profile: Optional[bool] = None,
            telemetry: Optional[bool] = None) -> ObsContext:
     """Get or create the ObsContext for ``env`` (idempotent).
 
@@ -177,20 +149,16 @@ def attach(env, label: str = "run", tracing: Optional[bool] = None,
         session = _SESSION
         want_trace = tracing if tracing is not None else (
             session.trace if session is not None else False)
-        want_profile = profile if profile is not None else (
-            session.profile if session is not None else False)
         want_telemetry = telemetry if telemetry is not None else (
             session.telemetry if session is not None else False)
         ctx = ObsContext(env, label=label, tracing=want_trace,
-                         profile=want_profile, telemetry=want_telemetry)
+                         telemetry=want_telemetry)
         env.obs = ctx
         if session is not None:
             session.register(ctx)
     else:
         if tracing:
             ctx.enable_tracing()
-        if profile:
-            ctx.profile = True
         if telemetry:
             ctx.enable_telemetry()
     return ctx

@@ -12,8 +12,7 @@
 * :func:`write_jsonl` — one JSON object per span, flat, for ad-hoc
   analysis with ``jq``/pandas.
 * :func:`summary_text` — human-readable report: span counts by
-  category, metric instruments, and the (clearly labelled,
-  non-deterministic) wall-clock self-profile of the simulator.
+  category and metric instruments.
 """
 
 from __future__ import annotations
@@ -296,14 +295,6 @@ def summary_text(contexts: Iterable, wall_s: Optional[float] = None) -> str:
                             f"mean={inst.mean:.3e} p50={inst.percentile(.5):.3e} "
                             f"p99={inst.percentile(.99):.3e} "
                             f"max={inst.max:.3e} {meta.unit}")
-        prof = ctx.selfprof.as_dict()
-        if prof:
-            lines.append("  self-profile (HOST wall clock; "
-                         "non-deterministic, never in spans):")
-            for key, row in sorted(prof.items(),
-                                   key=lambda kv: -kv[1]["wall_s"]):
-                lines.append(f"    {key:<28} {row['calls']:>9.0f} calls "
-                             f"{row['wall_s'] * 1e3:10.2f} ms")
     if wall_s is not None:
         lines.append(f"[capture wall time {wall_s:.2f}s]")
     return "\n".join(lines)

@@ -9,9 +9,9 @@ background thread and emits collapsed-stack lines compatible with
 flamegraphs, different clock.
 
 Determinism contract: this is, by construction, wall-clock territory —
-the one sanctioned home for host-time reads besides
-:class:`~repro.obs.context.SelfProfile` (DetLint's DET001 allowlist
-names exactly these modules).  Nothing here may feed simulation state:
+the one home for host-time profiling (DetLint's DET001 allowlist names
+it, next to the capture session's wall-time report and the worker
+boundary).  Nothing here may feed simulation state:
 the profiler only *observes* frames via ``sys._current_frames`` and
 never touches the engine, so a sampled run's simulated results are
 bit-identical to an unsampled one.  It is off unless explicitly

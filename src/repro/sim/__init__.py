@@ -16,6 +16,11 @@ Public surface::
     env.process(gen)          # start a coroutine process
     env.timeout(0.5)          # event firing 0.5 simulated seconds later
     env.run()                 # run to exhaustion (or until=t)
+    env.run_until_complete(ev)  # run until ev triggers; returns its value
+    env.run_window(h)         # run every event with t < h (shard windows)
+
+All three drive one event loop; the sanitizer monitor and the engine
+telemetry, when attached, observe every dispatch on each of them.
 """
 
 from repro.sim.engine import (

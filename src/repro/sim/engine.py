@@ -9,6 +9,7 @@ the reproduction relies on (all tables must be bit-for-bit repeatable).
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.errors import SimulationError
@@ -34,7 +35,7 @@ class EngineTelemetry:
     same counters on any host and at any shard count — the merge layer
     can sum them bit-identically.  Attached via ``repro.obs.attach(...,
     telemetry=True)`` (the ``repro profile`` CLI path); when absent the
-    engine pays one attribute read per dispatch and nothing more.
+    event loop pays one truth test per dispatch and nothing more.
     """
 
     __slots__ = ("dispatch", "heap_pops", "resumes", "fairshare_recomputes",
@@ -48,7 +49,8 @@ class EngineTelemetry:
         self.fairshare_flows = 0
         self._published = False
 
-    def note_dispatch(self, event: "Event") -> None:
+    def note_event(self, time: float, seq: int, event: "Event") -> None:
+        """Dispatch observer hook; same signature as the sanitizer's."""
         name = type(event).__name__
         self.dispatch[name] = self.dispatch.get(name, 0) + 1
         self.heap_pops += 1
@@ -430,67 +432,20 @@ class Environment:
 
     # -- main loop -----------------------------------------------------------
 
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("step() on empty event queue")
-        time, _seq, event = heapq.heappop(self._queue)
-        if time < self._now - 1e-12:
-            raise SimulationError("time went backwards (scheduler bug)")
-        self._now = max(self._now, time)
-        if self.monitor is not None:
-            self.monitor.note_event(time, _seq, event)
-        if self.telemetry is not None:
-            self.telemetry.note_dispatch(event)
-        obs = self.obs
-        if obs is not None and obs.profile:
-            import time as _time
-
-            t0 = _time.perf_counter()  # detlint: ignore[DET001]
-            event._run_callbacks()
-            obs.selfprof.add(
-                type(event).__name__,
-                _time.perf_counter() - t0)  # detlint: ignore[DET001]
-            obs.metrics.counter("sim.events").add(1)
-        else:
-            event._run_callbacks()
-
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains or simulated time reaches ``until``.
+        """Run until the queue drains or simulated time passes ``until``.
 
-        Raises the exception of any process that failed with nobody
-        waiting on it — silent process death would corrupt results.
-        Returns the final simulation time.
+        Processes every event with ``time <= until``, then moves the
+        clock forward to ``until``.  Raises the exception of any process
+        that failed with nobody waiting on it — silent process death
+        would corrupt results.  Returns the final simulation time.
         """
-        obs = self.obs
-        if obs is not None and obs.profile:
-            return self._run_profiled(until, obs)
-        if self.monitor is not None:
-            return self._run_monitored(until, self.monitor)
-        if self.telemetry is not None:
-            return self._run_telemetry(until, self.telemetry)
-        # Hot loop: the pop/dispatch below is step() inlined (identical
-        # ordering), with the orphan check guarded so the common case
-        # costs one truth test instead of a call per event.
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
+        if until is None:
+            self._dispatch(math.inf)
+        else:
+            self._dispatch(until)
+            if self._now < until:
                 self._now = until
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            event = pop(queue)[2]
-            if time > self._now:
-                self._now = time
-            event._run_callbacks()
-            if self._failures:
-                self._raise_orphans()
-        if self._failures:
-            self._raise_orphans()
-        if until is not None and self._now < until:
-            self._now = until
         return self._now
 
     def run_window(self, horizon: float) -> float:
@@ -504,149 +459,55 @@ class Environment:
         to the next window, after message exchange — and the clock is
         not advanced past the last processed event.
         """
-        queue = self._queue
-        pop = heapq.heappop
-        telemetry = self.telemetry
-        while queue:
-            time = queue[0][0]
-            if time >= horizon:
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            event = pop(queue)[2]
-            if time > self._now:
-                self._now = time
-            if telemetry is not None:
-                telemetry.note_dispatch(event)
-            event._run_callbacks()
-            if self._failures:
-                self._raise_orphans()
-        if self._failures:
-            self._raise_orphans()
+        self._dispatch(math.nextafter(horizon, -math.inf))
         return self._now
 
-    def _run_monitored(self, until: Optional[float], monitor: Any) -> float:
-        """run() with the sanitizer monitor's per-event hook.
+    def run_until_complete(self, event: Event, limit: float = math.inf) -> Any:
+        """Run until ``event`` triggers, then finish the current instant.
 
-        Taken only when a :mod:`repro.analysis.sanitize` Monitor is
-        attached.  Event ordering and the final clock are *identical* to
-        :meth:`run` — the hook is pure bookkeeping (stream hashing, race
-        grouping) and never creates events or reads the clock.
+        Returns the event's value.  ``limit`` bounds only the wait for
+        the trigger, so an event that has already triggered still drains
+        its instant when the clock stands past ``limit``.
         """
-        queue = self._queue
-        pop = heapq.heappop
-        note = monitor.note_event
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                self._now = until
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            _time_popped, seq, event = pop(queue)
-            if time > self._now:
-                self._now = time
-            note(time, seq, event)
-            event._run_callbacks()
-            if self._failures:
-                self._raise_orphans()
-        if self._failures:
-            self._raise_orphans()
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def _run_telemetry(self, until: Optional[float],
-                       telemetry: EngineTelemetry) -> float:
-        """run() with the deterministic self-telemetry dispatch hook.
-
-        Taken when an :class:`EngineTelemetry` is attached (the
-        ``repro profile`` path).  Event ordering and the final clock are
-        *identical* to :meth:`run` — the hook is pure integer counting
-        (no wall clock, no allocation beyond the per-class dict) and
-        never creates events, so pinned baselines hold with it on.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        note = telemetry.note_dispatch
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                self._now = until
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            event = pop(queue)[2]
-            if time > self._now:
-                self._now = time
-            note(event)
-            event._run_callbacks()
-            if self._failures:
-                self._raise_orphans()
-        if self._failures:
-            self._raise_orphans()
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def _run_profiled(self, until: Optional[float], obs: Any) -> float:
-        """run() with per-event-class wall-clock self-profiling.
-
-        Taken only when ``env.obs.profile`` is set (the ``--metrics``
-        CLI flag).  Event *ordering* and the final clock are identical
-        to :meth:`run`; the only additions are a step counter in the
-        metrics registry and HOST wall-clock attribution per event
-        class in ``obs.selfprof`` — a separate channel that never feeds
-        back into simulated time.
-        """
-        import time as _time
-
-        queue = self._queue
-        pop = heapq.heappop
-        perf = _time.perf_counter
-        selfprof = obs.selfprof
-        steps = obs.metrics.counter("sim.events")
-        loop_t0 = perf()
-        while queue:
-            time = queue[0][0]
-            if until is not None and time > until:
-                self._now = until
-                break
-            if time < self._now - 1e-12:
-                raise SimulationError("time went backwards (scheduler bug)")
-            event = pop(queue)[2]
-            if time > self._now:
-                self._now = time
-            t0 = perf()
-            event._run_callbacks()
-            selfprof.add(type(event).__name__, perf() - t0)
-            steps.add(1)
-            if self._failures:
-                self._raise_orphans()
-        selfprof.add("Environment.run", perf() - loop_t0)
-        if self._failures:
-            self._raise_orphans()
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
-
-    def run_until_complete(self, event: Event, limit: float = float("inf")) -> Any:
-        """Run until ``event`` triggers; convenience for tests and drivers."""
-        queue = self._queue
-        while not event.triggered:
-            if not queue:
+        self._dispatch(math.inf if event._triggered else limit, event)
+        if not event._triggered:
+            if not self._queue:
                 raise SimulationError("event can never trigger: queue empty")
-            if queue[0][0] > limit:
-                raise SimulationError(f"event did not trigger before t={limit}")
-            self.step()
-            if self._failures:
-                self._raise_orphans()
-        # Drain same-time callbacks so the event is fully processed.
-        while queue and queue[0][0] <= self._now:
-            self.step()
-            if self._failures:
-                self._raise_orphans()
+            raise SimulationError(f"event did not trigger before t={limit}")
         return event.value
+
+    def _dispatch(self, until: float, target: Optional[Event] = None) -> None:
+        """The one event loop: process events with ``time <= until``.
+
+        With a ``target``, it also stops at the first clock advance after
+        the target has triggered, so every event at the trigger instant
+        is processed.  The dispatch observers — the sanitizer monitor
+        and the engine telemetry, whichever are attached — see each
+        ``(time, seq, event)`` after the pop and before its callbacks.
+        """
+        observers = tuple(o.note_event for o in (self.monitor, self.telemetry)
+                          if o is not None)
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
+            time = queue[0][0]
+            if time > until:
+                break
+            if time > self._now:
+                if target is not None and target._triggered:
+                    break
+                self._now = time
+            elif time < self._now - 1e-12:
+                raise SimulationError("time went backwards (scheduler bug)")
+            _time, seq, event = pop(queue)
+            if observers:
+                for note in observers:
+                    note(time, seq, event)
+            event._run_callbacks()
+            if self._failures:
+                self._raise_orphans()
+        if self._failures:
+            self._raise_orphans()
 
     def _raise_orphans(self) -> None:
         """Raise the exception of any failed process nobody was joining.

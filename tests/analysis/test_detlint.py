@@ -115,7 +115,7 @@ def test_allowlist_suppresses_by_path_suffix():
     allowed = lint_file(
         Path("src/repro/obs/context.py"), config, source=source
     )
-    assert allowed == []  # self-profiler may read the wall clock
+    assert allowed == []  # the capture session may read the wall clock
 
 
 def test_executor_allowlist_covers_worker_entry_points():

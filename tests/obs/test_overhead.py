@@ -40,14 +40,12 @@ def _fig7a_fleet():
 
 def test_disabled_tracer_adds_no_events():
     """Event count and makespan are bit-identical to the seed baseline."""
-    with obs.capture(profile=True) as cap:
+    with obs.capture() as cap:
         fleet = _fig7a_fleet()
         makespan = fleet.makespan(dump_files(MiB(32)))
     assert makespan == _BASELINE_MAKESPAN
-    events = cap.contexts[0].metrics.counter("sim.events").value
+    events = cap.contexts[0].env.events_scheduled
     assert events == _BASELINE_EVENTS
-    # Self-profile lives in its own labelled channel, never in spans.
-    assert cap.contexts[0].selfprof.wall_s
     assert cap.n_spans() == 0
 
 

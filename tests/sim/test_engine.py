@@ -311,3 +311,41 @@ def test_clock_monotonicity_under_many_processes():
         env.process(proc(i))
     env.run()
     assert stamps == sorted(stamps)
+
+
+@pytest.mark.parametrize("rule", ["run", "run_until", "run_window",
+                                  "run_until_complete"])
+def test_dispatch_observers_see_every_event(rule):
+    """The sanitizer monitor and the engine telemetry, attached together,
+    each see every dispatched event whichever stop rule drives the loop."""
+    from repro.analysis.sanitize import Monitor
+    from repro.sim.engine import EngineTelemetry
+
+    env = Environment()
+    env.monitor = Monitor()
+    env.telemetry = EngineTelemetry()
+
+    def child():
+        yield env.timeout(1.0)
+        return 1
+
+    def parent():
+        value = yield env.process(child())
+        yield env.all_of([env.timeout(0.5), env.timeout(0.25)])
+        return value + 1
+
+    proc = env.process(parent())
+    if rule == "run":
+        env.run()
+    elif rule == "run_until":
+        env.run(until=1.0)
+        env.run(until=10.0)
+    elif rule == "run_window":
+        for horizon in (0.5, 1.0, 1.25, 1.5, 2.0):
+            env.run_window(horizon)
+    else:
+        assert env.run_until_complete(proc) == 2
+    assert env.peek() is None
+    assert env.events_scheduled == 8
+    assert env.telemetry.heap_pops == env.monitor.events == 8
+    assert sum(env.telemetry.dispatch.values()) == 8
