@@ -355,6 +355,8 @@ class DataPlane:
         for extent in completion.value:
             if extent.payload.is_synthetic:
                 raise InvalidArgument("recovery read hit synthetic (bulk) data")
+            # A zero tail needs no copy: ``out`` is already zero.
+            data = extent.payload.data
             at = extent.start - region_offset
-            out[at : at + extent.length] = extent.payload.data
+            out[at : at + len(data)] = data
         return bytes(out)

@@ -646,7 +646,7 @@ class MicroFS:  # reproflow: ignore[FLOW103] (ops apply atomically between yield
         if tr is not None:
             tr.handoff(span)
         yield from self.data_plane.write_log_page(
-            self._sb_offset, superblock.ljust(_SUPERBLOCK_BYTES, b"\x00"), _SUPERBLOCK_BYTES
+            self._sb_offset, superblock, _SUPERBLOCK_BYTES
         )
         self.oplog.reset()
         self._state_slot = slot

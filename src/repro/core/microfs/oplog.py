@@ -18,12 +18,15 @@ Records encode to real bytes in fixed 64-byte slots (multi-slot for long
 names); recovery decodes the raw log region read back from the SSD. The
 physical-logging ablation (``metadata_provenance=False``) pads every
 record to a 4 KiB inode image — the "large sized physical log records"
-other systems ship.
+other systems ship. The padding reserves log slots and wire bytes; its
+zeros are never encoded, and the device holds them as a size.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import re
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -40,6 +43,7 @@ _MAGIC = 0xC4
 # lsn u64 | epoch u32 | op u8 | magic u8 | ino u64 | parent u64 |
 # a u64 | b u64 | mode u32 | name_len u16  => 54 bytes + name
 _FIXED = struct.Struct("<QIBBQQQQIH")
+_NONZERO = re.compile(rb"[^\x00]")
 
 
 class LogOp(enum.Enum):
@@ -84,28 +88,28 @@ class LogRecord:
         return -(-(_FIXED.size + len(self.name.encode())) // _SLOT)
 
     @classmethod
-    def decode_stream(cls, data: bytes, empty_run_limit: int = 80) -> List["LogRecord"]:
+    def decode_stream(cls, data: bytes) -> List["LogRecord"]:
         """Decode back-to-back records.
 
-        Empty (all-zero) slots are skipped — physical-logging records are
-        slot-padded — but a run longer than ``empty_run_limit`` slots
-        means the live log has ended (the rest of the region is erased),
-        so scanning stops instead of walking megabytes of zeros.
+        Empty (all-zero) slots are skipped — a physical-logging record of
+        weight ``w`` reserves ``w`` 4 KiB pages but encodes into its first
+        slot. The skip jumps straight to the slot holding the next
+        non-zero byte, so an erased region costs a C-level scan, and
+        scanning ends when no non-zero byte is left.
         """
         records: List[LogRecord] = []
         at = 0
-        empty_run = 0
         while at + _FIXED.size <= len(data):
             (lsn, epoch, op, magic, ino, parent, a, b, mode, name_len) = _FIXED.unpack_from(data, at)
             if magic != _MAGIC:
-                if data[at : at + _SLOT].strip(b"\x00") == b"":
-                    empty_run += 1
-                    if empty_run > empty_run_limit:
-                        break
-                    at += _SLOT  # erased slot — skip
-                    continue
-                raise RecoveryError(f"corrupt log record at offset {at}")
-            empty_run = 0
+                found = _NONZERO.search(data, at)
+                if found is None:
+                    break  # the rest of the region is erased
+                next_slot = found.start() - found.start() % _SLOT
+                if next_slot == at:
+                    raise RecoveryError(f"corrupt log record at offset {at}")
+                at = next_slot  # erased slots — skip
+                continue
             name = data[at + _FIXED.size : at + _FIXED.size + name_len].decode()
             record = cls(lsn, LogOp(op), ino, parent, a, b, mode, name, epoch)
             records.append(record)
@@ -151,6 +155,7 @@ class OperationLog:  # reproflow: ignore[FLOW103] (LSN order is the tie-break)
         self._records: List[LogRecord] = []
         self._slots_used = 0  # in slot units
         self._positions: List[int] = []  # slot index of each record
+        self._widest_slots = 1  # most slots any live record encodes into
         self._window: Deque[int] = deque(maxlen=window)  # record indices
         # Lifetime counters for Table I / drilldown accounting.
         self.total_appends = 0
@@ -223,6 +228,7 @@ class OperationLog:  # reproflow: ignore[FLOW103] (LSN order is the tie-break)
         position = self._slots_used
         self._records.append(record)
         self._positions.append(position)
+        self._widest_slots = max(self._widest_slots, record.wire_slots)
         self._slots_used += slots
         self._window.append(len(self._records) - 1)
         return self._result(len(self._records) - 1, coalesced=False, physical_weight=physical_weight)
@@ -257,15 +263,26 @@ class OperationLog:  # reproflow: ignore[FLOW103] (LSN order is the tie-break)
         )
 
     def _encode_range(self, start: int, length: int) -> bytes:
-        """Materialise bytes [start, start+length) of the log region."""
+        """Materialise bytes [start, start+length) of the log region.
+
+        Only records that can overlap the range are encoded: positions
+        are monotone and no encoding spans more than ``_widest_slots``
+        slots, so two bisections bound the candidates. Later records
+        overwrite earlier ones where encodings overlap (a long name under
+        physical logging can outgrow its reservation).
+        """
         out = bytearray(length)
-        for record, slot in zip(self._records, self._positions):
-            byte_at = slot * _SLOT
-            encoded = record.encode()
-            if byte_at + len(encoded) <= start or byte_at >= start + length:
+        end = start + length
+        positions = self._positions
+        first = bisect.bisect_right(positions, start // _SLOT - self._widest_slots)
+        stop = bisect.bisect_left(positions, -(-end // _SLOT))
+        for index in range(first, stop):
+            byte_at = positions[index] * _SLOT
+            encoded = self._records[index].encode()
+            if byte_at + len(encoded) <= start:
                 continue
             lo = max(byte_at, start)
-            hi = min(byte_at + len(encoded), start + length)
+            hi = min(byte_at + len(encoded), end)
             out[lo - start : hi - start] = encoded[lo - byte_at : hi - byte_at]
         return bytes(out)
 
@@ -284,6 +301,7 @@ class OperationLog:  # reproflow: ignore[FLOW103] (LSN order is the tie-break)
         self.epoch += 1
         self._records.clear()
         self._positions.clear()
+        self._widest_slots = 1
         self._slots_used = 0
         self._window.clear()
 

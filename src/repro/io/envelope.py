@@ -78,7 +78,9 @@ def merge_adjacent_extents(
     Only consecutive entries whose device ranges abut are merged, and
     only when both carry real bytes — synthetic (fingerprinted) payloads
     keep their identity tags so read-back verification still holds; they
-    share the batch's single fabric round trip without being fused.
+    share the batch's single fabric round trip without being fused. A
+    zero tail is materialised only when real bytes follow it; the last
+    chunk's tail stays size-only.
     """
     merged: List[Tuple[int, Payload]] = []
     for offset, payload in chunks:
@@ -89,7 +91,13 @@ def merge_adjacent_extents(
                 and not prev.is_synthetic
                 and not payload.is_synthetic
             ):
-                merged[-1] = (prev_off, Payload.of_bytes(prev.data + payload.data))
+                gap = bytes(prev.nbytes - len(prev.data))
+                merged[-1] = (
+                    prev_off,
+                    Payload.padded(
+                        prev.data + gap + payload.data, prev.nbytes + payload.nbytes
+                    ),
+                )
                 continue
         merged.append((offset, payload))
     return merged
@@ -287,7 +295,9 @@ class IORequest:
         qos: QoSClass = QoSClass.JOURNAL,
         **overrides: Any,
     ) -> "IORequest":
-        payload = Payload.of_bytes(page.ljust(wire_bytes, b"\x00"))
+        # The page is real; the physical-logging padding up to the wire
+        # size is a size-only zero tail.
+        payload = Payload.padded(page, wire_bytes)
         req = cls(
             op=Opcode.WRITE, nsid=nsid, extents=[(region_offset, payload)],
             command_size=max(4096, wire_bytes), qos=qos,
@@ -308,17 +318,17 @@ class IORequest:
         qos: QoSClass = QoSClass.CKPT_DATA,
         **overrides: Any,
     ) -> "IORequest":
-        padded = data.ljust(-(-len(data) // 4096) * 4096, b"\x00")
+        nbytes = -(-len(data) // 4096) * 4096
         req = cls(
             op=Opcode.WRITE, nsid=nsid,
-            extents=[(region_offset, Payload.of_bytes(padded))],
+            extents=[(region_offset, Payload.padded(data, nbytes))],
             command_size=command_size, qos=qos,
             # Historical cost model: floor division, not ceil.
-            n_cmds=max(1, len(padded) // command_size),
+            n_cmds=max(1, nbytes // command_size),
             flush_after=True, span_name="dataplane.state", **overrides,
         )
-        req.span_attrs = {"bytes": len(padded)}
-        req.counters = [("state_bytes_written", len(padded))]
+        req.span_attrs = {"bytes": nbytes}
+        req.counters = [("state_bytes_written", nbytes)]
         return req
 
     @classmethod

@@ -1,11 +1,17 @@
 """NVMe command set and payload representation.
 
-Payloads are real for small data (log records, directory files, internal
-state checkpoints — anything recovery must replay byte-for-byte) and
-*fingerprinted* for bulk checkpoint data: a :class:`Payload` in synthetic
-mode records length + a content tag, and read-back verifies the tag.
-Storing 700 GB of checkpoint bytes in host memory would be pointless;
-storing their identity is what the correctness checks need.
+A :class:`Payload` takes one of three forms:
+
+* **real** — every byte held (directory files, anything recovery must
+  replay byte-for-byte);
+* **real prefix + zero tail** — the bytes the model produced, followed
+  by a size-only run of zeros. Journal pages and state blobs are padded
+  to their wire size this way: a physical-logging record of 1 MiB holds
+  its 4 KiB page, not a megabyte of zeros;
+* **synthetic** — bulk checkpoint data *fingerprinted* as length + a
+  content tag; read-back verifies the tag. Storing 700 GB of checkpoint
+  bytes in host memory would be pointless; storing their identity is
+  what the correctness checks need.
 """
 
 from __future__ import annotations
@@ -34,10 +40,15 @@ class Opcode(enum.Enum):
 class Payload:
     """Data carried by a WRITE or returned by a READ.
 
-    Exactly one representation is active:
+    Three forms, told apart by ``data`` and ``nbytes``:
 
-    * ``data``: real bytes (metadata, logs) — sliceable, replayable.
-    * ``tag`` + ``nbytes``: synthetic bulk data — identity-checked only.
+    * ``data`` with ``nbytes == len(data)``: real bytes (metadata, logs)
+      — sliceable, replayable.
+    * ``data`` with ``nbytes > len(data)``: real bytes followed by a
+      size-only zero tail of ``nbytes - len(data)`` bytes. It reads,
+      slices and compares exactly as its materialised form would.
+    * ``tag`` + ``nbytes`` (``data is None``): synthetic bulk data —
+      identity-checked only.
     """
 
     __slots__ = ("data", "tag", "nbytes")
@@ -49,11 +60,15 @@ class Payload:
         nbytes: Optional[int] = None,
     ):
         if data is not None:
-            if tag is not None or nbytes is not None:
-                raise InvalidCommand("real payload takes no tag/nbytes")
+            if tag is not None:
+                raise InvalidCommand("real payload takes no tag")
             self.data = bytes(data)
             self.tag = None
-            self.nbytes = len(self.data)
+            self.nbytes = len(self.data) if nbytes is None else int(nbytes)
+            if self.nbytes < len(self.data):
+                raise InvalidCommand(
+                    f"payload of {len(self.data)} real bytes cannot have size {nbytes}"
+                )
         else:
             if tag is None or nbytes is None or nbytes < 0:
                 raise InvalidCommand("synthetic payload needs tag and nbytes >= 0")
@@ -64,6 +79,11 @@ class Payload:
     @classmethod
     def of_bytes(cls, data: bytes) -> "Payload":
         return cls(data=data)
+
+    @classmethod
+    def padded(cls, data: bytes, nbytes: int) -> "Payload":
+        """``data`` followed by zeros up to ``nbytes``, the zeros held as a size."""
+        return cls(data=data, nbytes=nbytes)
 
     @classmethod
     def synthetic(cls, tag: str, nbytes: int) -> "Payload":
@@ -85,7 +105,8 @@ class Payload:
                 f"{self.nbytes} bytes"
             )
         if self.data is not None:
-            return Payload(data=self.data[offset : offset + length])
+            # Clipped to the real prefix: a zero tail is never copied.
+            return Payload(data=self.data[offset : offset + length], nbytes=length)
         if offset == 0 and length == self.nbytes:
             return self
         return Payload(tag=f"{self.tag}+{offset}", nbytes=length)
@@ -93,14 +114,20 @@ class Payload:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Payload):
             return NotImplemented
-        return (
-            self.nbytes == other.nbytes
-            and self.tag == other.tag
-            and self.data == other.data
-        )
+        if self.nbytes != other.nbytes or self.tag != other.tag:
+            return False
+        short, full = self.data, other.data
+        if short is None or full is None:
+            return short is full
+        if len(short) > len(full):
+            short, full = full, short
+        # Equal as materialised: the longer prefix matches, then only zeros.
+        return full.startswith(short) and not full[len(short) :].strip(b"\x00")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.data is not None:
+            if self.nbytes > len(self.data):
+                return f"Payload(bytes[{len(self.data)}] + zeros, {self.nbytes}B)"
             return f"Payload(bytes[{self.nbytes}])"
         return f"Payload(synthetic {self.tag!r}, {self.nbytes}B)"
 

@@ -153,8 +153,10 @@ class ExtentStore:
                 raise InvalidCommand(
                     "read_bytes over synthetic payload — bulk data has no real bytes"
                 )
+            # A zero tail needs no copy: ``out`` is already zero.
+            data = extent.payload.data
             at = extent.start - start
-            out[at : at + extent.length] = extent.payload.data
+            out[at : at + len(data)] = data
         return bytes(out)
 
     def bytes_stored(self) -> int:

@@ -107,3 +107,27 @@ def test_read_bytes_zero_fills(plane):
         return data
 
     assert run(env, scenario()) == b"\x00" * 4 + b"xy" + b"\x00" * 2
+
+
+def test_physical_log_padding_is_size_only(plane):
+    """A 1 MiB physical-log record holds its 4 KiB page, not 1 MiB of
+    zeros; reading it back zero-fills the tail."""
+    env, ssd, ns, dp = plane
+    page = b"\x02" * 100 + bytes(3996)
+    run(env, dp.write_log_page(MiB(1), page, MiB(1)))
+    assert dp.counters.get("log_bytes_written") == MiB(1)
+    assert ns.store.bytes_stored() == MiB(1)
+    (extent,) = ns.store.read(MiB(1), MiB(1))
+    assert extent.length == MiB(1)
+    assert len(extent.payload.data) == 4096
+    back = run(env, dp.read_bytes(MiB(1) - 8, MiB(1) + 16))
+    assert back == bytes(8) + page + bytes(MiB(1) - 4096 + 8)
+
+
+def test_write_state_padding_is_size_only(plane):
+    env, ssd, ns, dp = plane
+    run(env, dp.write_state(MiB(1), b"state-blob"))
+    (extent,) = ns.store.read(MiB(1), 4096)
+    assert extent.length == 4096
+    assert extent.payload.data == b"state-blob"
+    assert run(env, dp.read_bytes(MiB(1), 4096)) == b"state-blob".ljust(4096, b"\x00")

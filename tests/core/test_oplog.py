@@ -191,3 +191,28 @@ def test_coalescing_preserves_replay_semantics(writes):
 
     assert extents(plain) == extents(merged)
     assert merged.record_count <= plain.record_count
+
+
+@pytest.mark.parametrize("weight", [1, 2, 256])
+def test_physical_records_decode_across_their_reservation(weight):
+    """A physical record of weight ``w`` reserves ``w`` pages but encodes
+    into one slot; decoding must skip the zeros to the next record."""
+    log = OperationLog(MiB(8), coalescing=False, physical_records=True)
+    log.append(LogOp.CREAT, ino=2, parent_ino=1, name="rank_000.dat")
+    for i in range(5):
+        log.append(LogOp.WRITE, ino=2, a=i * MiB(4), b=MiB(4), physical_weight=weight)
+    region = log.encode_region()
+    assert len(region) == (1 + 5 * weight) * 4096
+    decoded = LogRecord.decode_stream(region)
+    assert [r.op for r in decoded] == [LogOp.CREAT] + [LogOp.WRITE] * 5
+    assert [r.a for r in decoded[1:]] == [i * MiB(4) for i in range(5)]
+    replay = OperationLog.replayable(region, epoch=1, after_lsn=0)
+    assert [r.lsn for r in replay] == [1, 2, 3, 4, 5, 6]
+
+
+def test_decode_stream_skips_erased_region():
+    log = OperationLog(KiB(64))
+    log.append(LogOp.CREAT, ino=2, parent_ino=1, name="f")
+    region = log.encode_region() + bytes(MiB(8)) + log.encode_region()
+    assert [r.lsn for r in LogRecord.decode_stream(region)] == [1, 1]
+    assert LogRecord.decode_stream(bytes(MiB(8))) == []

@@ -140,6 +140,22 @@ def test_merge_mixed_real_and_synthetic():
     assert merged[2][1].data == b"yyzz"
 
 
+def test_merge_padded_then_real_materialises_only_the_inner_tail():
+    chunks = [(0, Payload.padded(b"ab", 6)), (6, Payload.of_bytes(b"cd")),
+              (8, Payload.padded(b"e", 4))]
+    merged = merge_adjacent_extents(chunks)
+    assert len(merged) == 1
+    offset, payload = merged[0]
+    assert offset == 0
+    assert payload.nbytes == 12
+    # The tail that real bytes follow becomes zeros; the last stays a size.
+    assert payload.data == b"ab\x00\x00\x00\x00cde"
+    materialised = b"".join(
+        p.data.ljust(p.nbytes, b"\x00") for _o, p in chunks
+    )
+    assert payload == Payload.of_bytes(materialised)
+
+
 # -- IORequest factories ------------------------------------------------------
 
 
@@ -177,6 +193,7 @@ def test_log_page_factory_pads_and_pins_one_command():
     assert req.derived_cmds() == 1
     assert req.command_size == 4096
     assert req.extents[0][1].nbytes == 64
+    assert req.extents[0][1].data == b"rec"  # the padding is size-only
     assert dict(req.counters) == {"log_bytes_written": 64, "log_flushes": 1}
 
 
@@ -194,6 +211,12 @@ def test_state_blob_factory_floor_division():
     assert req.derived_cmds() == 3
     assert req.flush_after
     assert req.extents[0][1].nbytes == KiB(96)  # padded to 4 KiB pages
+    req = IORequest.state_blob(1, 0, b"s" * 5000, command_size=KiB(4))
+    assert req.extents[0][1].nbytes == KiB(8)
+    assert req.extents[0][1].data == b"s" * 5000  # the padding is size-only
+    assert req.derived_cmds() == 2
+    assert req.span_attrs == {"bytes": KiB(8)}
+    assert dict(req.counters) == {"state_bytes_written": KiB(8)}
 
 
 def test_recovery_read_skips_software_charge():

@@ -157,3 +157,70 @@ def test_read_between_extents_returns_empty():
     store.write(0, Payload.of_bytes(b"aa"))
     store.write(100, Payload.of_bytes(b"bb"))
     assert store.read(10, 50) == []
+
+
+# -- real bytes followed by a size-only zero tail -----------------------------
+
+
+def test_padded_payload_holds_only_its_prefix():
+    payload = Payload.padded(b"abc", 4096)
+    assert payload.nbytes == 4096
+    assert payload.data == b"abc"
+    assert not payload.is_synthetic
+    assert Payload.padded(b"abc", 3) == Payload.of_bytes(b"abc")
+    with pytest.raises(InvalidCommand):
+        Payload.padded(b"abc", 2)
+    with pytest.raises(InvalidCommand):
+        Payload(data=b"abc", tag="t")
+
+
+@pytest.mark.parametrize(
+    "offset, length, prefix",
+    [
+        (1, 2, b"bc"),  # inside the real prefix
+        (0, 3, b"abc"),  # exactly the prefix
+        (2, 5, b"c"),  # across the prefix into the tail
+        (3, 5, b""),  # entirely in the tail
+        (6, 2, b""),  # beyond the prefix, ending at the size
+    ],
+)
+def test_padded_slice_clips_to_the_prefix(offset, length, prefix):
+    payload = Payload.padded(b"abc", 8)
+    piece = payload.slice(offset, length)
+    assert piece.nbytes == length
+    assert piece.data == prefix  # the zeros are never copied
+    materialised = Payload.of_bytes(b"abc".ljust(8, b"\x00"))
+    assert piece == materialised.slice(offset, length)
+
+
+def test_padded_slice_past_size_raises():
+    with pytest.raises(InvalidCommand):
+        Payload.padded(b"abc", 8).slice(4, 5)
+
+
+def test_padded_equality_is_by_materialised_content():
+    assert Payload.padded(b"ab", 4) == Payload.of_bytes(b"ab\x00\x00")
+    assert Payload.of_bytes(b"ab\x00\x00") == Payload.padded(b"ab", 4)
+    assert Payload.padded(b"ab\x00", 4) == Payload.padded(b"ab", 4)
+    assert Payload.padded(b"ab", 4) != Payload.of_bytes(b"ab\x00\x01")
+    assert Payload.padded(b"ab", 4) != Payload.padded(b"ab", 5)
+    assert Payload.padded(b"ab", 4) != Payload.padded(b"ba", 4)
+    assert Payload.padded(b"", 4) != Payload.synthetic("t", 4)
+
+
+def test_overwrite_splits_padded_extent_then_read_bytes():
+    store = ExtentStore(1 << 20)
+    store.write(0, Payload.padded(b"head", 65536))
+    # Split it twice: once inside the prefix, once deep in the tail.
+    store.write(2, Payload.of_bytes(b"XY"))
+    store.write(40000, Payload.of_bytes(b"mid"))
+    pieces = store.read(0, 65536)
+    assert [(e.start, e.length) for e in pieces] == [
+        (0, 2), (2, 2), (4, 39996), (40000, 3), (40003, 25533),
+    ]
+    assert sum(len(e.payload.data) for e in store._extents) == 2 + 2 + 3
+    expected = bytearray(65536)
+    expected[0:4] = b"heXY"
+    expected[40000:40003] = b"mid"
+    assert store.read_bytes(0, 65536) == bytes(expected)
+    assert store.read_bytes(39998, 8) == b"\x00\x00mid\x00\x00\x00"
