@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import BadFileDescriptor, FileExists, FileNotFound, InvalidArgument, OutOfSpace
 from repro.io.qos import QoSClass
@@ -27,7 +27,29 @@ from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 from repro.obs.metrics import Counter
 
-__all__ = ["StorageServer", "BaselineFile", "BaselineClient"]
+__all__ = ["StorageServer", "BaselineFile", "BaselineClient", "stripe_totals"]
+
+
+def stripe_totals(nservers: int, stripe: int, offset: int, nbytes: int,
+                  first_server: int = 0) -> Tuple[List[int], List[int]]:
+    """Per-server ``(bytes, stripes)`` of request ``[offset, offset+nbytes)``
+    when file stripe ``k`` lives on server ``(first_server + k) % nservers``.
+
+    Exact integer arithmetic in O(servers): the request's stripes split
+    evenly, one more each for the servers from the first stripe's on, and
+    the partial first and last stripes are trimmed from their servers.
+    """
+    if nbytes <= 0:
+        return [0] * nservers, [0] * nservers
+    end = offset + nbytes
+    first, last = offset // stripe, (end - 1) // stripe
+    full, extra = divmod(last - first + 1, nservers)
+    lead = (first_server + first) % nservers  # server of the first stripe
+    stripes = [full + ((s - lead) % nservers < extra) for s in range(nservers)]
+    totals = [n * stripe for n in stripes]
+    totals[lead] -= offset - first * stripe
+    totals[(first_server + last) % nservers] -= (last + 1) * stripe - end
+    return totals, stripes
 
 
 class StorageServer:  # reproflow: ignore[FLOW103] (one server coroutine per instance)

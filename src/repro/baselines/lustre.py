@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List
 
+from repro.baselines.common import stripe_totals
 from repro.bench import calibration as cal
 from repro.nvme.commands import Payload
 from repro.sim.engine import Environment, Event
@@ -50,21 +51,17 @@ class LustreCluster:
     def write_file(self, path: str, nbytes: int) -> Generator[Event, Any, None]:
         """Striped write: RAID bandwidth is the bottleneck per OSS."""
         yield from self.mds.serve(cal.LUSTRE_PER_REQUEST_COST)  # open+layout
-        stripe = cal.LUSTRE_STRIPE_SIZE
-        per_server = [0] * len(self.servers)
-        at = 0
-        while at < nbytes:
-            take = min(stripe, nbytes - at)
-            per_server[(at // stripe) % len(self.servers)] += take
-            at += take
-        events = []
-        for server, load in zip(self.servers, per_server):
-            if load > 0:
-                events.append(self.env.process(self._oss_write(server, load)))
-        if events:
-            yield self.env.all_of(events)
+        yield from self._striped(nbytes)
         self.files[path] = nbytes
         self.counters.add("bytes_written", nbytes)
+
+    def _striped(self, nbytes: int) -> Generator[Event, Any, None]:
+        """A whole file through the OSSes, striped from OSS 0."""
+        loads, _stripes = stripe_totals(len(self.servers), cal.LUSTRE_STRIPE_SIZE, 0, nbytes)
+        events = [self.env.process(self._oss_write(server, load))
+                  for server, load in zip(self.servers, loads) if load > 0]
+        if events:
+            yield self.env.all_of(events)
 
     def _oss_write(self, server: Resource, nbytes: int):
         # The RAID controller is a serial pipe: hold the OSS for the
@@ -78,19 +75,7 @@ class LustreCluster:
         if nbytes is None:
             raise FileNotFound(path)
         yield from self.mds.serve(cal.LUSTRE_PER_REQUEST_COST)
-        stripe = cal.LUSTRE_STRIPE_SIZE
-        per_server = [0] * len(self.servers)
-        at = 0
-        while at < nbytes:
-            take = min(stripe, nbytes - at)
-            per_server[(at // stripe) % len(self.servers)] += take
-            at += take
-        events = []
-        for server, load in zip(self.servers, per_server):
-            if load > 0:
-                events.append(self.env.process(self._oss_write(server, load)))
-        if events:
-            yield self.env.all_of(events)
+        yield from self._striped(nbytes)
         self.counters.add("bytes_read", nbytes)
         return nbytes
 

@@ -2,8 +2,9 @@
 
 What the paper says OrangeFS does (and this model reproduces):
 
-* stripes file data across all storage servers (Figure 7(b): good
-  balance at low concurrency, unlike consistent hashing);
+* stripes file data round-robin across all storage servers, one IO per
+  server per request (Figure 7(b): good balance at low concurrency,
+  unlike consistent hashing);
 * layers its servers over kernel filesystems, capping per-server
   throughput well below the device (Figure 1: peaks at ~41 %);
 * keeps a *shared global namespace*: creates visit distributed metadata
@@ -19,7 +20,7 @@ from typing import Any, Dict, Generator, List
 
 from repro.apps.deployment import Deployment
 from repro.bench import calibration as cal
-from repro.baselines.common import BaselineClient, BaselineFile, StorageServer
+from repro.baselines.common import BaselineClient, BaselineFile, StorageServer, stripe_totals
 from repro.hashing.jump import jump_hash
 from repro.io.qos import QoSClass
 from repro.nvme.commands import Payload
@@ -100,31 +101,16 @@ class OrangeFSClient(BaselineClient):
 
     # -- data path ------------------------------------------------------------------------
 
-    def _stripe_plan(self, file: BaselineFile, offset: int, nbytes: int):
-        """(server_index, nbytes) stripes, round-robin from a hash start."""
-        stripe = cal.ORANGEFS_STRIPE_SIZE
-        nservers = len(self.cluster.servers)
-        start = jump_hash(file.path, nservers)
-        plan = []
-        at = offset
-        end = offset + nbytes
-        while at < end:
-            take = min(stripe - (at % stripe), end - at)
-            server = (start + at // stripe) % nservers
-            plan.append((server, take))
-            at += take
-        return plan
-
     def _aggregate_plan(self, file: BaselineFile, offset: int, nbytes: int):
-        """Fold the stripe plan into (server_index, total_bytes, stripes)
-        — one IO per server instead of one per stripe (identical timing,
-        three orders of magnitude fewer simulation events)."""
-        totals: Dict[int, List[int]] = {}
-        for server_index, take in self._stripe_plan(file, offset, nbytes):
-            entry = totals.setdefault(server_index, [0, 0])
-            entry[0] += take
-            entry[1] += 1
-        return [(s, t, n) for s, (t, n) in sorted(totals.items())]
+        """Sorted (server_index, total_bytes, stripes) of every server the
+        request touches, striped from the path's hash server: one IO per
+        server instead of one per stripe, planned in O(servers)."""
+        nservers = len(self.cluster.servers)
+        totals, stripes = stripe_totals(
+            nservers, cal.ORANGEFS_STRIPE_SIZE, offset, nbytes,
+            first_server=jump_hash(file.path, nservers),
+        )
+        return [(s, totals[s], stripes[s]) for s in range(nservers) if stripes[s]]
 
     def _do_write(self, file: BaselineFile, offset: int, payload: Payload) -> Generator[Event, Any, int]:
         if payload.nbytes == 0:

@@ -41,7 +41,7 @@ _SLOT = cal.NVMECR_LOG_RECORD_BYTES  # 64
 _PAGE = 4096
 _MAGIC = 0xC4
 # lsn u64 | epoch u32 | op u8 | magic u8 | ino u64 | parent u64 |
-# a u64 | b u64 | mode u32 | name_len u16  => 54 bytes + name
+# a u64 | b u64 | mode u32 | name_len u16  => 52 bytes + name
 _FIXED = struct.Struct("<QIBBQQQQIH")
 _NONZERO = re.compile(rb"[^\x00]")
 
@@ -95,7 +95,8 @@ class LogRecord:
         weight ``w`` reserves ``w`` 4 KiB pages but encodes into its first
         slot. The skip jumps straight to the slot holding the next
         non-zero byte, so an erased region costs a C-level scan, and
-        scanning ends when no non-zero byte is left.
+        scanning ends when no non-zero byte is left. An undecodable
+        record raises :class:`RecoveryError`.
         """
         records: List[LogRecord] = []
         at = 0
@@ -110,8 +111,14 @@ class LogRecord:
                     raise RecoveryError(f"corrupt log record at offset {at}")
                 at = next_slot  # erased slots — skip
                 continue
-            name = data[at + _FIXED.size : at + _FIXED.size + name_len].decode()
-            record = cls(lsn, LogOp(op), ino, parent, a, b, mode, name, epoch)
+            name_at = at + _FIXED.size
+            if name_at + name_len > len(data):
+                raise RecoveryError(f"log record at offset {at} runs past the region")
+            try:
+                name = data[name_at : name_at + name_len].decode()
+                record = cls(lsn, LogOp(op), ino, parent, a, b, mode, name, epoch)
+            except ValueError as exc:  # bad UTF-8 or an unknown op
+                raise RecoveryError(f"corrupt log record at offset {at}: {exc}") from exc
             records.append(record)
             at += record.wire_slots * _SLOT
         return records
@@ -166,7 +173,8 @@ class OperationLog:  # reproflow: ignore[FLOW103] (LSN order is the tie-break)
 
     def _record_slots(self, record: LogRecord, weight: int = 1) -> int:
         if self.physical_records:
-            return weight * (cal.PHYSICAL_LOG_RECORD_BYTES // _SLOT)
+            # A name longer than the image keeps every slot it encodes into.
+            return max(weight * (cal.PHYSICAL_LOG_RECORD_BYTES // _SLOT), record.wire_slots)
         return record.wire_slots
 
     @property
@@ -267,9 +275,7 @@ class OperationLog:  # reproflow: ignore[FLOW103] (LSN order is the tie-break)
 
         Only records that can overlap the range are encoded: positions
         are monotone and no encoding spans more than ``_widest_slots``
-        slots, so two bisections bound the candidates. Later records
-        overwrite earlier ones where encodings overlap (a long name under
-        physical logging can outgrow its reservation).
+        slots, so two bisections bound the candidates.
         """
         out = bytearray(length)
         end = start + length

@@ -106,6 +106,37 @@ def test_orangefs_metadata_accounting():
     assert cluster.metadata_bytes_per_server() > 0
 
 
+def test_orangefs_unaligned_writes_pinned():
+    """Four ranks each write 1,000,003 B three times, so every write but
+    the first starts mid-stripe. Per-server bytes, layout records, Table I
+    metadata and finish times equal the values recorded at commit
+    259be0f, where requests were still planned stripe by stripe."""
+    dep = Deployment(seed=7, deterministic_devices=True)
+    cluster = OrangeFSCluster(dep, GiB(1))
+    env = dep.env
+    finish = []
+
+    def rank(i):
+        client = cluster.client(f"c{i}")
+        fd = yield from client.open(f"/ckpt/rank{i:04d}.dat", "w")
+        for _ in range(3):
+            yield from client.write(fd, 1_000_003)
+        yield from client.fsync(fd)
+        yield from client.close(fd)
+        finish.append(env.now)
+
+    for i in range(4):
+        env.process(rank(i))
+    env.run()
+    assert cluster.bytes_per_server() == [
+        1492681, 1441792, 1507328, 1558217, 1507328, 1492681, 1507328, 1492681]
+    assert cluster.stripe_records_high_water == 192
+    assert cluster.metadata_bytes_per_server() == 70656
+    assert finish == [
+        0.0029497345454545455, 0.0030937345454545456,
+        0.0032377345454545456, 0.0033817345454545456]
+
+
 # ---------------------------------------------------------------------------
 # GlusterFS
 # ---------------------------------------------------------------------------
@@ -263,6 +294,23 @@ def test_lustre_read_back():
         return nbytes
 
     assert run(env, scenario()) == MiB(256)
+
+
+def test_lustre_unaligned_size_pinned():
+    """A file of 5 MiB + 12,345 B leaves a partial last stripe; write and
+    read completion times equal the values recorded at commit 259be0f,
+    where each call looped over the file stripe by stripe."""
+    env = Environment()
+    lustre = LustreCluster(env)
+    nbytes = MiB(5) + 12_345
+
+    def scenario():
+        yield from lustre.write_file("/f", nbytes)
+        written_at = env.now
+        got = yield from lustre.read_file("/f")
+        return written_at, env.now, got
+
+    assert run(env, scenario()) == (0.0015081013333333331, 0.0030162026666666663, nbytes)
 
 
 def test_lustre_missing_file():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.microfs.oplog import AppendResult, LogOp, LogRecord, OperationLog
-from repro.errors import NoSpace
+from repro.core.microfs.oplog import _FIXED, AppendResult, LogOp, LogRecord, OperationLog
+from repro.errors import NoSpace, RecoveryError
 from repro.units import KiB, MiB
 
 
@@ -216,3 +216,35 @@ def test_decode_stream_skips_erased_region():
     region = log.encode_region() + bytes(MiB(8)) + log.encode_region()
     assert [r.lsn for r in LogRecord.decode_stream(region)] == [1, 1]
     assert LogRecord.decode_stream(bytes(MiB(8))) == []
+
+
+def test_physical_long_name_keeps_its_slots():
+    """Under physical logging a name longer than a 4 KiB image (9,000 B
+    here) reserves every slot it encodes into, so the WRITE after it
+    does not overwrite its tail and both records decode."""
+    log = OperationLog(MiB(1), coalescing=False, physical_records=True)
+    name = "n" * 9000
+    log.append(LogOp.CREAT, ino=2, parent_ino=1, name=name)
+    log.append(LogOp.WRITE, ino=2, a=0, b=4096)
+    decoded = LogRecord.decode_stream(log.encode_region())
+    assert [(r.op, r.name) for r in decoded] == [(LogOp.CREAT, name), (LogOp.WRITE, "")]
+    creat_slots = LogRecord(lsn=1, op=LogOp.CREAT, name=name).wire_slots
+    assert log.free_slots == log.capacity_slots - creat_slots - 4096 // 64
+
+
+def _one_record(**fields) -> bytearray:
+    return bytearray(LogRecord(lsn=1, epoch=1, **fields).encode())
+
+
+@pytest.mark.parametrize("case", ["bad_utf8", "unknown_op", "name_past_region"])
+def test_decode_stream_raises_recovery_error_on_undecodable_record(case):
+    raw = _one_record(op=LogOp.CREAT, ino=2, name="abc")
+    name_at = _FIXED.size  # fixed fields precede the name
+    if case == "bad_utf8":
+        raw[name_at] = 0xFF
+    elif case == "unknown_op":
+        raw[12] = 99  # the op byte
+    else:
+        raw = raw[: name_at + 2]  # the region ends inside the name
+    with pytest.raises(RecoveryError):
+        LogRecord.decode_stream(bytes(raw))

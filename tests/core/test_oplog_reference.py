@@ -125,9 +125,9 @@ def test_matches_reference_long(physical, coalescing, window, steps):
 
 def test_matches_reference_long_name_outgrows_physical_reservation():
     """A weight-1 physical record whose name needs more than a page of
-    slots overlaps the next record's reservation; the later record wins
-    where they overlap, and a page after the long record still sees its
-    spill-over."""
+    slots reserves every slot it encodes into, so a page after the long
+    record's first still sees its spill-over and the next record starts
+    past it."""
     steps = [
         (LogOp.CREAT, 2, 0, 0, "n" * 9000, 1),
         (LogOp.WRITE, 2, 0, 4096, "", 1),
